@@ -7,7 +7,9 @@
 //!   per-predicate overrides;
 //! * [`estimate`] — the `t_in` / `t_out` / effective-call estimator under
 //!   the three logical-cache settings (Eq. 1/2, the `N(n)` minimal
-//!   contributor sets);
+//!   contributor sets), compiled once per plan into a
+//!   [`CostSkeleton`](estimate::CostSkeleton) that prices many fetch
+//!   vectors;
 //! * [`metrics`] — the five cost metrics: sum cost (Eq. 3),
 //!   request-response, execution time (Eq. 4), bottleneck (\[16\]'s metric,
 //!   kept as baseline) and time-to-screen — all monotonic w.r.t. plan
@@ -81,7 +83,7 @@ pub mod prelude {
         diverging_services, profile_divergence, refresh_profiles, AdaptiveConfig, ObservedService,
         ServiceDivergence,
     };
-    pub use crate::estimate::{Annotation, CacheSetting, Estimator};
+    pub use crate::estimate::{Annotation, CacheSetting, CostSkeleton, Estimator};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::metrics::{
         all_metrics, Bottleneck, CostMetric, ExecutionTime, RequestResponse, SumCost, TimeToScreen,

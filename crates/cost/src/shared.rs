@@ -29,6 +29,13 @@ pub trait SharedWorkOracle {
     /// Whether a prefix with this signature is materialized (or being
     /// materialized) and would replay for free.
     fn is_materialized(&self, sig: SubplanSignature) -> bool;
+
+    /// Whether no prefix at all can be materialized, so pricing may skip
+    /// signing a plan's prefixes. Conservatively `false`; oracles that
+    /// know they are empty say so.
+    fn nothing_materialized(&self) -> bool {
+        false
+    }
 }
 
 /// The standalone oracle: nothing is shared, nothing is discounted.
@@ -39,6 +46,10 @@ impl SharedWorkOracle for NothingShared {
     fn is_materialized(&self, _sig: SubplanSignature) -> bool {
         false
     }
+
+    fn nothing_materialized(&self) -> bool {
+        true
+    }
 }
 
 /// The `&'static` default every costing context starts from.
@@ -48,11 +59,23 @@ impl SharedWorkOracle for std::collections::HashSet<SubplanSignature> {
     fn is_materialized(&self, sig: SubplanSignature) -> bool {
         self.contains(&sig)
     }
+
+    fn nothing_materialized(&self) -> bool {
+        self.is_empty()
+    }
 }
 
 /// Zeroes the effective calls of the longest invoke prefix of `plan`
 /// the oracle reports materialized; returns the number of invoke nodes
 /// discounted (0 with [`NothingShared`] or when no prefix matches).
+///
+/// When the oracle reports [`nothing_materialized`]
+/// (`NothingShared`, an empty signature set) it returns 0 at once,
+/// without building or signing the plan's prefixes — the common case
+/// of standalone optimization, which prices hundreds of fetch vectors
+/// per query.
+///
+/// [`nothing_materialized`]: SharedWorkOracle::nothing_materialized
 ///
 /// Only `Annotation::calls` is touched: cardinalities (`t_in`/`t_out`)
 /// describe the data, which replays unchanged — exactly what keeps the
@@ -62,6 +85,9 @@ pub fn discount_materialized(
     ann: &mut Annotation,
     oracle: &dyn SharedWorkOracle,
 ) -> usize {
+    if oracle.nothing_materialized() {
+        return 0;
+    }
     let prefixes = invoke_prefixes(plan);
     let Some(best) = prefixes
         .iter()
@@ -110,6 +136,16 @@ mod tests {
         let mut ann = base.clone();
         assert_eq!(discount_materialized(&plan, &mut ann, &NothingShared), 0);
         assert_eq!(ann.calls, base.calls, "annotation untouched");
+    }
+
+    #[test]
+    fn empty_oracles_report_nothing_materialized() {
+        assert!(NothingShared.nothing_materialized());
+        let mut set: HashSet<SubplanSignature> = HashSet::new();
+        assert!(set.nothing_materialized());
+        let (plan, _) = fig6();
+        set.insert(invoke_prefixes(&plan)[0].signature);
+        assert!(!set.nothing_materialized());
     }
 
     #[test]

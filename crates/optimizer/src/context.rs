@@ -1,6 +1,12 @@
 //! Shared costing context threaded through the optimizer phases.
+//!
+//! Pricing is split in two: [`CostContext::compile`] derives a plan's
+//! fetch-independent [`CostSkeleton`] once, and [`CostContext::price`]
+//! turns any annotation of it — one skeleton, many fetch vectors in
+//! phase 3 — into a cost. [`CostContext::cost`] does both for a plan
+//! priced once.
 
-use mdq_cost::estimate::{Annotation, CacheSetting, Estimator};
+use mdq_cost::estimate::{Annotation, CacheSetting, CostSkeleton, Estimator};
 use mdq_cost::metrics::CostMetric;
 use mdq_cost::selectivity::SelectivityModel;
 use mdq_cost::shared::{discount_materialized, SharedWorkOracle, NOTHING_SHARED};
@@ -50,15 +56,30 @@ impl<'a> CostContext<'a> {
         self
     }
 
+    fn estimator(&self) -> Estimator<'a> {
+        Estimator::new(self.schema, self.selectivity, self.cache)
+    }
+
     /// Annotates a plan under this context's estimator settings.
     pub fn annotate(&self, plan: &Plan) -> Annotation {
-        Estimator::new(self.schema, self.selectivity, self.cache).annotate(plan)
+        self.estimator().annotate(plan)
+    }
+
+    /// Compiles the fetch-independent part of `plan`'s annotation, to
+    /// be annotated under many fetch vectors.
+    pub fn compile(&self, plan: &Plan) -> CostSkeleton {
+        self.estimator().compile(plan)
     }
 
     /// Annotates and prices a plan, discounting the calls of the
     /// longest invoke prefix the oracle reports materialized.
     pub fn cost(&self, plan: &Plan) -> (f64, Annotation) {
-        let mut ann = self.annotate(plan);
+        self.price(plan, self.annotate(plan))
+    }
+
+    /// Prices `ann`, an annotation of `plan` under `plan.fetches`:
+    /// applies the shared-work discount, then the metric.
+    pub fn price(&self, plan: &Plan, mut ann: Annotation) -> (f64, Annotation) {
         discount_materialized(plan, &mut ann, self.oracle);
         (self.metric.cost(plan, &ann, self.schema), ann)
     }

@@ -14,9 +14,15 @@
 //!   chunked services;
 //! * an exact, dominance-pruned **frontier search** (§4.3.2) over minimal
 //!   feasible fetch vectors, with branch-and-bound against an incumbent.
+//!
+//! Only the fetch vector changes during one search, so each search
+//! compiles the plan's [`CostSkeleton`] once and prices every probe —
+//! heuristic steps, feasibility checks at the caps, frontier bounds and
+//! the binary search on the last factor — against it: one skeleton per
+//! plan, many fetch vectors.
 
 use crate::context::CostContext;
-use mdq_cost::estimate::Annotation;
+use mdq_cost::estimate::{Annotation, CostSkeleton};
 use mdq_plan::dag::Plan;
 
 /// The two §4.3.1 heuristics for initial fetch assignments.
@@ -81,20 +87,35 @@ pub fn fetch_caps(plan: &Plan, ctx: &CostContext<'_>, max_fetch: u64) -> Vec<u64
         .collect()
 }
 
-fn out_with(plan: &mut Plan, ctx: &CostContext<'_>, fetches: &[u64]) -> f64 {
-    plan.fetches.copy_from_slice(fetches);
-    ctx.annotate(plan).out_size()
+/// One fetch search: the plan (whose fetch factors the metric reads),
+/// the context pricing it and the plan's compiled skeleton.
+struct Probe<'p, 'c> {
+    plan: &'p mut Plan,
+    ctx: &'p CostContext<'c>,
+    skeleton: CostSkeleton,
 }
 
-fn cost_with(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
-    fetches: &[u64],
-    stats: &mut FetchStats,
-) -> (f64, Annotation) {
-    plan.fetches.copy_from_slice(fetches);
-    stats.vectors_costed += 1;
-    ctx.cost(plan)
+impl<'p, 'c> Probe<'p, 'c> {
+    fn new(plan: &'p mut Plan, ctx: &'p CostContext<'c>) -> Self {
+        let skeleton = ctx.compile(plan);
+        Probe {
+            plan,
+            ctx,
+            skeleton,
+        }
+    }
+
+    /// Estimated output size under `fetches`.
+    fn out(&self, fetches: &[u64]) -> f64 {
+        self.skeleton.annotate(fetches).out_size()
+    }
+
+    /// Cost and annotation under `fetches`, counted in `stats`.
+    fn cost(&mut self, fetches: &[u64], stats: &mut FetchStats) -> (f64, Annotation) {
+        self.plan.fetches.copy_from_slice(fetches);
+        stats.vectors_costed += 1;
+        self.ctx.price(self.plan, self.skeleton.annotate(fetches))
+    }
 }
 
 /// Closed form for a single chunked service (Eq. 5): `tout` is linear in
@@ -167,7 +188,14 @@ pub fn heuristic_fetches(
 ) -> Vec<u64> {
     let chunked = plan.chunked_positions(ctx.schema);
     let base = vec![1; plan.atoms.len()];
-    heuristic_fetches_from(plan, ctx, k, heuristic, caps, &base, &chunked)
+    heuristic_fetches_from(
+        &mut Probe::new(plan, ctx),
+        k,
+        heuristic,
+        caps,
+        &base,
+        &chunked,
+    )
 }
 
 /// [`heuristic_fetches`] generalised to a base vector and an explicit
@@ -175,8 +203,7 @@ pub fn heuristic_fetches(
 /// value — how suffix re-planning pins the factors of already-executed
 /// stages while re-tuning the rest.
 fn heuristic_fetches_from(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
+    probe: &mut Probe<'_, '_>,
     k: f64,
     heuristic: FetchHeuristic,
     caps: &[u64],
@@ -188,24 +215,25 @@ fn heuristic_fetches_from(
     if chunked.is_empty() {
         return f;
     }
-    let mut out = out_with(plan, ctx, &f);
+    let mut out = probe.out(&f);
     let mut guard = 0usize;
     while out < k && guard < 100_000 {
         guard += 1;
         let candidate = match heuristic {
             FetchHeuristic::Greedy => {
                 // the position with the best Δtuples / Δcost for +1
+                // (probes of the heuristic are not counted as search)
+                let mut stats = FetchStats::default();
+                let (cost_before, _) = probe.cost(&f, &mut stats);
                 let mut best: Option<(usize, f64)> = None;
                 for &pos in &chunked {
                     if f[pos] >= caps[pos] {
                         continue;
                     }
                     f[pos] += 1;
-                    let mut stats = FetchStats::default();
-                    let gain = out_with(plan, ctx, &f) - out;
-                    let (cost_after, _) = cost_with(plan, ctx, &f, &mut stats);
+                    let (cost_after, after) = probe.cost(&f, &mut stats);
+                    let gain = after.out_size() - out;
                     f[pos] -= 1;
-                    let (cost_before, _) = cost_with(plan, ctx, &f, &mut stats);
                     let dcost = (cost_after - cost_before).max(f64::MIN_POSITIVE);
                     let ratio = gain / dcost;
                     if best.map(|(_, r)| ratio > r).unwrap_or(true) {
@@ -222,7 +250,10 @@ fn heuristic_fetches_from(
                     .filter(|&pos| f[pos] < caps[pos])
                     .min_by(|&a, &b| {
                         let cs = |pos: usize| {
-                            ctx.schema
+                            let plan = &probe.plan;
+                            probe
+                                .ctx
+                                .schema
                                 .service(plan.query.atoms[plan.atoms[pos]].service)
                                 .chunk_size()
                                 .unwrap_or(1) as f64
@@ -235,7 +266,7 @@ fn heuristic_fetches_from(
             break; // all capped: k unreachable
         };
         f[pos] += 1;
-        out = out_with(plan, ctx, &f);
+        out = probe.out(&f);
     }
     f
 }
@@ -303,9 +334,11 @@ pub fn optimize_fetches_pinned(
         .filter(|pos| pinned.iter().all(|&(p, _)| p != *pos))
         .collect();
 
+    let mut probe = Probe::new(plan, ctx);
+
     // No knobs: cost as-is (pinned values included).
     if open.is_empty() {
-        let (cost, annotation) = cost_with(plan, ctx, &base, stats);
+        let (cost, annotation) = probe.cost(&base, stats);
         let meets_k = annotation.out_size() >= k;
         return FetchOutcome {
             fetches: base,
@@ -317,15 +350,15 @@ pub fn optimize_fetches_pinned(
 
     // Feasibility at the caps (decay may make k unreachable, §4.3.2).
     let capped: Vec<u64> = caps.clone();
-    let reachable = out_with(plan, ctx, &capped) >= k;
+    let reachable = probe.out(&capped) >= k;
 
     // Heuristic first choice → initial upper bound.
     let init = if reachable {
-        heuristic_fetches_from(plan, ctx, k, heuristic, &caps, &base, &open)
+        heuristic_fetches_from(&mut probe, k, heuristic, &caps, &base, &open)
     } else {
         capped // best effort: fetch everything allowed
     };
-    let (init_cost, init_ann) = cost_with(plan, ctx, &init, stats);
+    let (init_cost, init_ann) = probe.cost(&init, stats);
     let mut best = FetchOutcome {
         meets_k: init_ann.out_size() >= k,
         fetches: init,
@@ -344,8 +377,7 @@ pub fn optimize_fetches_pinned(
     };
     let mut current: Vec<u64> = base.clone();
     explore_rec(
-        plan,
-        ctx,
+        &mut probe,
         k,
         &open,
         &caps,
@@ -360,8 +392,7 @@ pub fn optimize_fetches_pinned(
 
 #[allow(clippy::too_many_arguments)]
 fn explore_rec(
-    plan: &mut Plan,
-    ctx: &CostContext<'_>,
+    probe: &mut Probe<'_, '_>,
     k: f64,
     chunked: &[usize],
     caps: &[u64],
@@ -372,11 +403,11 @@ fn explore_rec(
     stats: &mut FetchStats,
 ) {
     // Prune: remaining factors at cap still infeasible.
-    let mut probe = current.clone();
+    let mut at_caps = current.clone();
     for &pos in &chunked[depth..] {
-        probe[pos] = caps[pos];
+        at_caps[pos] = caps[pos];
     }
-    if out_with(plan, ctx, &probe) < k {
+    if probe.out(&at_caps) < k {
         stats.pruned_infeasible += 1;
         return;
     }
@@ -385,7 +416,7 @@ fn explore_rec(
     for &pos in &chunked[depth..] {
         floor[pos] = 1;
     }
-    let (lb, _) = cost_with(plan, ctx, &floor, stats);
+    let (lb, _) = probe.cost(&floor, stats);
     if lb >= *bound {
         stats.pruned_by_bound += 1;
         return;
@@ -396,30 +427,30 @@ fn explore_rec(
         // (out is monotone non-decreasing in the factor)
         let pos = chunked[depth];
         let (mut lo, mut hi) = (1u64, caps[pos]);
-        let mut probe = current.clone();
-        probe[pos] = hi;
-        if out_with(plan, ctx, &probe) < k {
+        let mut last = current.clone();
+        last[pos] = hi;
+        if probe.out(&last) < k {
             stats.pruned_infeasible += 1;
             return;
         }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            probe[pos] = mid;
-            if out_with(plan, ctx, &probe) >= k {
+            last[pos] = mid;
+            if probe.out(&last) >= k {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        probe[pos] = lo;
-        let (cost, ann) = cost_with(plan, ctx, &probe, stats);
+        last[pos] = lo;
+        let (cost, ann) = probe.cost(&last, stats);
         if cost < *bound || (cost < best.cost) {
             if cost < *bound {
                 *bound = cost;
             }
             if cost < best.cost || !best.meets_k {
                 *best = FetchOutcome {
-                    fetches: probe,
+                    fetches: last,
                     cost,
                     meets_k: ann.out_size() >= k,
                     annotation: ann,
@@ -433,8 +464,7 @@ fn explore_rec(
     for f in 1..=caps[pos] {
         current[pos] = f;
         explore_rec(
-            plan,
-            ctx,
+            probe,
             k,
             chunked,
             caps,
@@ -450,7 +480,7 @@ fn explore_rec(
         for &p in &chunked[depth + 1..] {
             floor[p] = 1;
         }
-        if out_with(plan, ctx, &floor) >= k {
+        if probe.out(&floor) >= k {
             break;
         }
     }

@@ -40,7 +40,7 @@
 //! | visual plan syntax (Fig. 4) | [`mdq_plan::render`] |
 //! | NL / merge-scan joins (Fig. 5, \[4\]) | [`NlJoin`](mdq_exec::joins::NlJoin), [`MsJoin`](mdq_exec::joins::MsJoin) |
 //! | plan for the running example (Fig. 6) | `mdq-bench::experiments::fig8` |
-//! | `t_in`/`t_out` annotation (§3.4, Fig. 8) | [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate), [`explain`](mdq_cost::explain::explain) |
+//! | `t_in`/`t_out` annotation (§3.4, Fig. 8) | [`Estimator::annotate`](mdq_cost::estimate::Estimator::annotate) (= [`Estimator::compile`](mdq_cost::estimate::Estimator::compile) + [`CostSkeleton::annotate`](mdq_cost::estimate::CostSkeleton::annotate), one skeleton per phase-3 search), [`explain`](mdq_cost::explain::explain) |
 //!
 //! ## §4 — Branch and bound
 //!

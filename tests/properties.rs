@@ -267,7 +267,8 @@ fn parser_display_fixpoint() {
 
 /// Under randomised service statistics (erspi, response times, chunk
 /// sizes, join selectivity), the branch-and-bound optimum equals the
-/// independent exhaustive optimum for both ETM and RRM.
+/// independent exhaustive optimum for both ETM and RRM, under every
+/// cache setting.
 #[test]
 fn bnb_equals_exhaustive_random_profiles() {
     let mut rng = Rng::new(0x4047);
@@ -307,35 +308,41 @@ fn bnb_equals_exhaustive_random_profiles() {
         let query = Arc::new(query);
         let sel = SelectivityModel::default();
         let strategy = StrategyRule::default();
-        for metric in [&ExecutionTime as &dyn CostMetric, &RequestResponse] {
-            let ctx = CostContext::new(&schema, &sel, CacheSetting::OneCall, metric);
-            let oracle = exhaustive_optimum(&query, &ctx, &strategy, 8.0, 5);
-            let bnb = optimize(
-                Arc::clone(&query),
-                &schema,
-                metric,
-                &OptimizerConfig {
-                    k: 8,
-                    max_fetch: 5,
-                    ..OptimizerConfig::default()
-                },
-            )
-            .expect("bnb runs");
-            match oracle {
-                Some((_, oracle_cost)) => {
-                    assert!(
-                        bnb.meets_k(),
-                        "case {case}: oracle found a plan, bnb must too"
-                    );
-                    assert!(
-                        (oracle_cost - bnb.candidate.cost).abs() < 1e-6,
-                        "case {case}: {}: oracle {} vs bnb {}",
-                        metric.name(),
-                        oracle_cost,
-                        bnb.candidate.cost
-                    );
+        for cache in CacheSetting::ALL {
+            for metric in [&ExecutionTime as &dyn CostMetric, &RequestResponse] {
+                let ctx = CostContext::new(&schema, &sel, cache, metric);
+                let oracle = exhaustive_optimum(&query, &ctx, &strategy, 8.0, 5);
+                let bnb = optimize(
+                    Arc::clone(&query),
+                    &schema,
+                    metric,
+                    &OptimizerConfig {
+                        k: 8,
+                        cache,
+                        max_fetch: 5,
+                        ..OptimizerConfig::default()
+                    },
+                )
+                .expect("bnb runs");
+                match oracle {
+                    Some((_, oracle_cost)) => {
+                        assert!(
+                            bnb.meets_k(),
+                            "case {case}: {cache:?}: oracle found a plan, bnb must too"
+                        );
+                        assert!(
+                            (oracle_cost - bnb.candidate.cost).abs() < 1e-6,
+                            "case {case}: {cache:?}: {}: oracle {} vs bnb {}",
+                            metric.name(),
+                            oracle_cost,
+                            bnb.candidate.cost
+                        );
+                    }
+                    None => assert!(
+                        !bnb.meets_k(),
+                        "case {case}: {cache:?}: no feasible plan exists"
+                    ),
                 }
-                None => assert!(!bnb.meets_k(), "case {case}: no feasible plan exists"),
             }
         }
     }
