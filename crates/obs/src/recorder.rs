@@ -7,11 +7,15 @@
 //! buffer (ordered by a global sequence counter) on demand. Tracing a
 //! workload therefore never adds a shared lock to the page path — and a
 //! workload that attaches no recorder pays a single `Option` branch per
-//! record site.
+//! record site. A thread that panics while holding a cell's lock
+//! poisons nothing: every lock recovers the guard, so the rest of the
+//! trace stays recordable and exportable. Recovery is sound because
+//! every update under a lock is a single push or cursor bump, which
+//! leaves the buffer valid at each step.
 
 use crate::span::{SpanKind, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One track's buffer: its accounted-seconds cursor and the events
 /// recorded so far.
@@ -61,7 +65,10 @@ impl TraceRecorder {
                 events: Vec::new(),
             }),
         });
-        rec.cells.lock().expect("trace registry lock").push(control);
+        rec.cells
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(control);
         rec
     }
 
@@ -78,7 +85,7 @@ impl TraceRecorder {
         });
         self.cells
             .lock()
-            .expect("trace registry lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(Arc::clone(&cell));
         QueryTrace {
             recorder: Arc::clone(self),
@@ -92,7 +99,7 @@ impl TraceRecorder {
         let cell = Arc::clone(
             self.cells
                 .lock()
-                .expect("trace registry lock")
+                .unwrap_or_else(PoisonError::into_inner)
                 .first()
                 .expect("control track exists from construction"),
         );
@@ -105,10 +112,16 @@ impl TraceRecorder {
     /// Every event recorded so far, merged across tracks in global
     /// record order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let cells = self.cells.lock().expect("trace registry lock");
+        let cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::new();
         for cell in cells.iter() {
-            out.extend_from_slice(&cell.inner.lock().expect("trace cell lock").events);
+            out.extend_from_slice(
+                &cell
+                    .inner
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .events,
+            );
         }
         drop(cells);
         out.sort_by_key(|e| e.seq);
@@ -118,7 +131,7 @@ impl TraceRecorder {
     /// The `(track, label)` pairs of every registered track, in track
     /// order.
     pub fn tracks(&self) -> Vec<(u64, String)> {
-        let cells = self.cells.lock().expect("trace registry lock");
+        let cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out: Vec<(u64, String)> =
             cells.iter().map(|c| (c.track, c.label.clone())).collect();
         out.sort_by_key(|(t, _)| *t);
@@ -155,7 +168,11 @@ impl QueryTrace {
     /// cursor advances past it.
     pub fn record(&self, kind: SpanKind, dur: f64) {
         let seq = self.recorder.seq.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.cell.inner.lock().expect("trace cell lock");
+        let mut inner = self
+            .cell
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let start = inner.cursor;
         inner.cursor += dur;
         inner.events.push(TraceEvent {
@@ -232,5 +249,26 @@ mod tests {
             }
         });
         assert_eq!(rec.events().len(), 400);
+    }
+
+    #[test]
+    fn a_panic_under_a_cell_lock_does_not_wedge_the_recorder() {
+        let rec = TraceRecorder::new();
+        let t = rec.register("doomed");
+        t.record(SpanKind::Optimize, 1.0);
+        let poisoner = t.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.cell.inner.lock();
+            panic!("handler dies holding the trace cell");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(t.cell.inner.is_poisoned());
+        t.record(SpanKind::Optimize, 0.5);
+        rec.control().instant(SpanKind::QueryDone { answers: 1 });
+        assert_eq!(rec.events().len(), 3);
+        assert_eq!(rec.events()[1].start, 1.0, "cursor survived the panic");
+        assert!(crate::export::jsonl(&rec).lines().count() >= 3);
+        assert!(crate::export::chrome_trace_json(&rec).contains("doomed"));
     }
 }

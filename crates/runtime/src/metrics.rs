@@ -61,6 +61,13 @@ pub(crate) struct Metrics {
     /// [`TenantPolicy::max_subscriptions`]: crate::tenant::TenantPolicy::max_subscriptions
     /// [`RuntimeConfig::max_subscriptions`]: crate::server::RuntimeConfig::max_subscriptions
     pub(crate) shed_subscription_cap: AtomicU64,
+    /// Connections the serving edge refused at accept because
+    /// [`RuntimeConfig::max_connections`] were already open. A refused
+    /// connection never submitted anything, so it counts in neither
+    /// `rejected` nor `shed_total`.
+    ///
+    /// [`RuntimeConfig::max_connections`]: crate::server::RuntimeConfig::max_connections
+    pub(crate) shed_connection_cap: AtomicU64,
     /// Jobs whose worker panicked mid-execution; the session fails,
     /// the worker survives.
     pub(crate) worker_panics: AtomicU64,
@@ -155,6 +162,7 @@ impl Metrics {
             shed_tenant_queue: AtomicU64::new(0),
             shed_tenant_budget: AtomicU64::new(0),
             shed_subscription_cap: AtomicU64::new(0),
+            shed_connection_cap: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             plan_failed_memo_hits: AtomicU64::new(0),
             peak_queue_depth: AtomicU64::new(0),
@@ -299,6 +307,7 @@ impl Metrics {
             shed_tenant_queue: self.shed_tenant_queue.load(Ordering::Relaxed),
             shed_tenant_budget: self.shed_tenant_budget.load(Ordering::Relaxed),
             shed_subscription_cap: self.shed_subscription_cap.load(Ordering::Relaxed),
+            shed_connection_cap: self.shed_connection_cap.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             plan_failed_memo_hits: self.plan_failed_memo_hits.load(Ordering::Relaxed),
             queue_depth: queue_depth as u64,
@@ -409,6 +418,13 @@ pub struct MetricsSnapshot {
     /// [`TenantPolicy::max_subscriptions`]: crate::tenant::TenantPolicy::max_subscriptions
     /// [`RuntimeConfig::max_subscriptions`]: crate::server::RuntimeConfig::max_subscriptions
     pub shed_subscription_cap: u64,
+    /// Connections the serving edge refused at accept because
+    /// [`RuntimeConfig::max_connections`] were already open (answered
+    /// `SHED` + `BYE`). Not a submission: counted in neither
+    /// `rejected` nor [`MetricsSnapshot::shed_total`].
+    ///
+    /// [`RuntimeConfig::max_connections`]: crate::server::RuntimeConfig::max_connections
+    pub shed_connection_cap: u64,
     /// Jobs whose worker panicked mid-execution (the session failed,
     /// the worker recovered).
     pub worker_panics: u64,
@@ -565,8 +581,9 @@ impl fmt::Display for MetricsSnapshot {
         if self.rejected > 0 || self.connections > 0 || self.peak_queue_depth > 0 {
             writeln!(
                 f,
-                "serving edge: {} connections · {} rejected ({} queue-full · {} tenant-queue · {} tenant-budget) · queue depth {} (peak {}) · {} worker panics",
+                "serving edge: {} connections ({} refused at the cap) · {} rejected ({} queue-full · {} tenant-queue · {} tenant-budget) · queue depth {} (peak {}) · {} worker panics",
                 self.connections,
+                self.shed_connection_cap,
                 self.rejected,
                 self.shed_queue_full,
                 self.shed_tenant_queue,

@@ -46,26 +46,51 @@
 //!
 //! Load shedding is part of the protocol, not an error path: a `SHED`
 //! frame carries the server's retry-after hint and the connection stays
-//! usable — a well-behaved client backs off and retries. Graceful
-//! drain likewise: [`NetServer::shutdown`] stops accepting connections
-//! (new ones get `DRAINING`), lets every in-flight query finish, sends
-//! idle connections `DRAINING`, and only then shuts the query server
-//! down.
+//! usable — a well-behaved client backs off and retries. The edge
+//! bounds what a peer can make it hold: a frame longer than 64 KiB
+//! gets `ERR` and the connection is closed, and a connection accepted while
+//! [`RuntimeConfig::max_connections`] are open gets `SHED` + `BYE`.
+//!
+//! Nothing on the connection path waits on a timer. The accept loop
+//! blocks in `accept()`, and every handler blocks in its read, so a new
+//! connection and a new frame are served the moment they arrive.
+//! Graceful drain wakes both by event: [`NetServer::shutdown`] sets the
+//! drain flag, then wakes the accept loop with a connection to its own
+//! address (loopback when bound to an unspecified address). The loop
+//! answers that one, and any late one, with `DRAINING` and stops
+//! accepting. Next it shuts down the read side of every open
+//! connection, so a handler blocked in a read sees end of stream at
+//! once and sends `DRAINING`. A handler busy with a query is not in a
+//! read: the query runs to `DONE` and the next read ends the
+//! connection the same way. Only then is the query server shut down.
+//!
+//! [`RuntimeConfig::max_connections`]: crate::server::RuntimeConfig::max_connections
 
 use crate::server::{QueryServer, Rejection};
 use crate::session::SessionEvent;
 use crate::tenant::{TenantPolicy, DEFAULT_TENANT};
 use mdq_exec::gateway::TenantId;
 use mdq_obs::span::SpanKind;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop re-check the drain flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept()` (out of descriptors and the like),
+/// so a persistent error does not spin the accept loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Bound on one client frame, in bytes (newline excluded). A longer
+/// line gets `ERR frame exceeds <n> bytes` and the connection is
+/// closed, so a peer that streams bytes without a newline cannot grow
+/// the server's read buffer without limit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// How long [`NetServer::shutdown`] waits for its wake-up connection
+/// to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Replaces newline characters so any text fits a one-line frame.
 fn escape_line(s: &str) -> String {
@@ -469,6 +494,31 @@ struct NetShared {
     open: AtomicU64,
 }
 
+/// A connection's handler thread, and a handle on its socket that lets
+/// the drain end a blocked read.
+type Conn = (JoinHandle<()>, TcpStream);
+
+/// Answers a connection the server will not serve with `frame` + `BYE`
+/// and closes it.
+fn refuse(mut stream: TcpStream, frame: ServerFrame) {
+    let _ =
+        stream.write_all(format!("{}\n{}\n", frame.encode(), ServerFrame::Bye.encode()).as_bytes());
+}
+
+/// Where [`NetServer::shutdown`] connects to wake the blocked accept
+/// loop: the bound address, with an unspecified IP replaced by the
+/// loopback address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// The TCP front door: accepts connections on a listener, speaks the
 /// `mdq/1` frame protocol per connection, and submits queries to the
 /// wrapped [`QueryServer`] under each connection's tenant.
@@ -495,7 +545,7 @@ pub struct NetServer {
     shared: Arc<NetShared>,
     addr: SocketAddr,
     accept: Mutex<Option<JoinHandle<()>>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
 
 impl NetServer {
@@ -504,42 +554,16 @@ impl NetServer {
     pub fn start(query: Arc<QueryServer>, addr: &str) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(NetShared {
             query,
             draining: AtomicBool::new(false),
             open: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
-            std::thread::spawn(move || loop {
-                if shared.draining.load(Ordering::Acquire) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        if shared.draining.load(Ordering::Acquire) {
-                            // refuse with a drain notice, never silently
-                            let mut stream = stream;
-                            let _ = writeln!(stream, "{}", ServerFrame::Draining.encode());
-                            let _ = writeln!(stream, "{}", ServerFrame::Bye.encode());
-                            return;
-                        }
-                        let shared = Arc::clone(&shared);
-                        let handle =
-                            std::thread::spawn(move || handle_connection(&shared, stream, peer));
-                        let mut conns = recover(conns.lock());
-                        conns.retain(|h| !h.is_finished());
-                        conns.push(handle);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => std::thread::sleep(POLL_INTERVAL),
-                }
-            })
+            std::thread::spawn(move || accept_loop(&shared, &listener, &conns))
         };
         Ok(NetServer {
             shared,
@@ -569,9 +593,21 @@ impl NetServer {
         let in_flight = self.shared.open.load(Ordering::Acquire);
         self.shared.draining.store(true, Ordering::Release);
         if let Some(handle) = recover(self.accept.lock()).take() {
-            let _ = handle.join();
+            // the accept loop is blocked in accept(): a connection to
+            // ourselves wakes it to see the flag. If even that cannot
+            // connect, the thread is left behind; it exits on the next
+            // connection that does reach the listener
+            if let Ok(_wake) = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT) {
+                let _ = handle.join();
+            }
         }
-        for handle in recover(self.conns.lock()).drain(..) {
+        // the accept loop is gone, so the list is final: end every
+        // blocked read, then wait for the handlers to say DRAINING
+        let conns = std::mem::take(&mut *recover(self.conns.lock()));
+        for (_, stream) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (handle, _) in conns {
             let _ = handle.join();
         }
         if let Some(recorder) = self.shared.query.trace_recorder() {
@@ -590,35 +626,92 @@ impl Drop for NetServer {
     }
 }
 
-/// Decrements the open-connection gauge even if the handler panics.
-struct OpenGuard<'a>(&'a AtomicU64);
+/// Ends a connection when its handler returns, even by panic: shuts
+/// the socket down in both directions (the drain holds a clone of it,
+/// so dropping the handler's handle alone would not close it, and the
+/// peer would never read EOF), then decrements the open-connection
+/// gauge.
+struct ConnGuard<'a> {
+    open: &'a AtomicU64,
+    stream: &'a TcpStream,
+}
 
-impl Drop for OpenGuard<'_> {
+impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.open.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The accept loop: blocks in `accept()` and hands each connection a
+/// handler thread, until [`NetServer::shutdown`] sets the drain flag
+/// and wakes it.
+fn accept_loop(shared: &Arc<NetShared>, listener: &TcpListener, conns: &Mutex<Vec<Conn>>) {
+    let config = shared.query.config();
+    loop {
+        let (stream, peer) = match listener.accept() {
+            Ok(accepted) => accepted,
+            Err(_) if shared.draining.load(Ordering::Acquire) => return,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        if shared.draining.load(Ordering::Acquire) {
+            // the drain's own wake-up, or a late arrival: refuse with a
+            // drain notice, never silently
+            refuse(stream, ServerFrame::Draining);
+            return;
+        }
+        if shared.open.load(Ordering::Acquire) >= config.max_connections as u64 {
+            shared.query.note_connection_shed();
+            refuse(
+                stream,
+                ServerFrame::Shed {
+                    retry_after_ms: config.shed_retry_after.as_millis() as u64,
+                },
+            );
+            continue;
+        }
+        let Ok(read_half) = stream.try_clone() else {
+            continue;
+        };
+        // counted here, not in the handler, so the cap check above
+        // sees every connection accepted so far
+        shared.open.fetch_add(1, Ordering::AcqRel);
+        let handler = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new().spawn(move || handle_connection(&shared, stream, peer))
+        };
+        match handler {
+            Ok(handle) => {
+                let mut conns = recover(conns.lock());
+                conns.retain(|(h, _)| !h.is_finished());
+                conns.push((handle, read_half));
+            }
+            Err(_) => {
+                shared.open.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
     }
 }
 
 /// One connection, accept to close: greet, then serve frames until
-/// `QUIT`, EOF, a write failure, or drain.
+/// `QUIT`, EOF, a write failure, an oversized frame, or drain.
 fn handle_connection(shared: &NetShared, stream: TcpStream, peer: SocketAddr) {
-    shared.open.fetch_add(1, Ordering::AcqRel);
-    let _open = OpenGuard(&shared.open);
+    let _conn = ConnGuard {
+        open: &shared.open,
+        stream: &stream,
+    };
     shared.query.note_connection();
     let connected_at = Instant::now();
     let mut queries = 0u64;
-    // the read half polls so an idle connection notices the drain flag
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     // answer frames are small and latency-bound: without nodelay, Nagle
     // against the peer's delayed ACK adds ~40ms to every round trip
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // one write per frame: a frame split across writes can be torn
-    // apart by the peer's read timeout mid-line
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    // one write per frame, so a frame is never torn between writes
     let mut send =
         |frame: ServerFrame| writer.write_all(format!("{}\n", frame.encode()).as_bytes());
     if send(ServerFrame::Hello {
@@ -629,35 +722,41 @@ fn handle_connection(shared: &NetShared, stream: TcpStream, peer: SocketAddr) {
         return;
     }
     let mut tenant = DEFAULT_TENANT;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
+        line.clear();
+        // at most one byte past the bound: enough to tell an oversized
+        // frame from a full one without buffering the rest of it. Bytes,
+        // not a String, so the size check comes before UTF-8 decoding
+        // (the cut may land inside a multi-byte character)
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line);
+        // the drain ends a blocked read (its socket's read side is shut
+        // down), so the flag is checked after every read
         if shared.draining.load(Ordering::Acquire) {
             let _ = send(ServerFrame::Draining);
             let _ = send(ServerFrame::Bye);
             break;
         }
-        match reader.read_line(&mut line) {
+        match read {
             Ok(0) => break, // EOF: client went away
             Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // poll tick: re-check the drain flag. A partially read
-                // line stays in `line` and completes on a later tick —
-                // clearing here would tear frames that straddle a
-                // timeout
-                continue;
-            }
             Err(_) => break,
         }
-        let text = std::mem::take(&mut line);
+        if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let _ = send(ServerFrame::Err {
+                reason: format!("frame exceeds {MAX_LINE_BYTES} bytes"),
+            });
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break; // not UTF-8: closed, as the protocol is text
+        };
         if text.trim().is_empty() {
             continue;
         }
-        let frame = match ClientFrame::parse(&text) {
+        let frame = match ClientFrame::parse(text) {
             Ok(frame) => frame,
             Err(reason) => {
                 if send(ServerFrame::Err { reason }).is_err() {
@@ -995,7 +1094,10 @@ impl NetClient {
         })?;
         match self.read_frame()? {
             ServerFrame::Subscribed { id, epoch, answers } => {
-                let mut rows = Vec::with_capacity(answers as usize);
+                // the count comes off the wire: reserve at most a page,
+                // so a hostile or garbled count cannot force a huge
+                // allocation before the rows arrive
+                let mut rows = Vec::with_capacity(answers.min(1024) as usize);
                 for _ in 0..answers {
                     match self.read_frame()? {
                         ServerFrame::Answer { tuple } => rows.push(tuple),
@@ -1376,9 +1478,9 @@ mod tests {
 
     #[test]
     fn subscribe_frame_survives_a_read_timeout_mid_line() {
-        // the PR 8 QUERY regression shape, for SUBSCRIBE: a frame
-        // delivered in two TCP segments straddling the server's 25ms
-        // poll tick must not be torn into two bogus lines
+        // a frame split across two TCP segments, with a pause between
+        // them, must still arrive whole: never torn into two bogus
+        // lines
         let server = Arc::new(QueryServer::from_world(
             news_world(),
             RuntimeConfig {
@@ -1397,9 +1499,9 @@ mod tests {
         let (head, tail) = frame.split_at(frame.len() / 2);
         stream.write_all(head.as_bytes()).expect("first half");
         stream.flush().expect("flush");
-        // straddle at least one poll tick so the server's read times
-        // out with the partial line buffered
-        std::thread::sleep(POLL_INTERVAL * 3);
+        // a pause long enough that the server reads the first half on
+        // its own
+        std::thread::sleep(Duration::from_millis(75));
         stream.write_all(tail.as_bytes()).expect("second half");
         stream.flush().expect("flush");
         line.clear();
@@ -1431,12 +1533,154 @@ mod tests {
         let addr = net.addr();
         let mut idle = NetClient::connect(addr).expect("connect");
         idle.ping().expect("ping");
-        let drainer = std::thread::spawn(move || net.shutdown());
+        let drainer = std::thread::spawn(move || {
+            let started = Instant::now();
+            net.shutdown();
+            (started.elapsed(), net.open_connections())
+        });
         // the idle connection is told about the drain rather than cut
         let frame = idle.read_frame().expect("drain notice");
         assert_eq!(frame, ServerFrame::Draining);
-        drainer.join().expect("drain completes");
+        let (elapsed, open) = drainer.join().expect("drain completes");
+        // woken by event, not by a poll tick
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "drain of one idle connection took {elapsed:?}"
+        );
+        assert_eq!(open, 0);
         // and the listener is gone: new connections fail outright
         assert!(NetClient::connect(addr).is_err(), "listener closed");
+    }
+
+    fn small_server(config: RuntimeConfig) -> NetServer {
+        let server = Arc::new(QueryServer::from_world(news_world(), config));
+        NetServer::start(server, "127.0.0.1:0").expect("bind")
+    }
+
+    #[test]
+    fn new_connections_are_served_without_a_poll_tick() {
+        let net = small_server(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        });
+        let started = Instant::now();
+        for _ in 0..16 {
+            let mut client = NetClient::connect(net.addr()).expect("connect");
+            client.ping().expect("ping");
+            client.quit().expect("clean close");
+        }
+        let elapsed = started.elapsed();
+        // a 25ms accept tick would cost ~400ms here on its own
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "16 connect + PING + QUIT cycles took {elapsed:?}"
+        );
+        net.shutdown();
+    }
+
+    #[test]
+    fn oversized_frame_gets_err_and_close() {
+        let net = small_server(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        });
+        // 'é' is two bytes, so the cut one byte past the (even) bound
+        // lands inside a character: the reply must not depend on where
+        for fill in ["x", "é"] {
+            let stream = TcpStream::connect(net.addr()).expect("connect");
+            // without the bound the server would wait for a newline forever
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("hello");
+            assert!(line.starts_with("HELLO"));
+            // 1 MiB with no newline, written beside the reads: the server
+            // stops reading at the bound, so the write may never complete
+            let mut flood = stream.try_clone().expect("clone");
+            let writer = std::thread::spawn(move || {
+                let chunk = fill.repeat(64 * 1024 / fill.len());
+                for _ in 0..16 {
+                    if flood.write_all(chunk.as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            });
+            line.clear();
+            reader.read_line(&mut line).expect("ERR frame");
+            assert_eq!(
+                ServerFrame::parse(&line).expect("parses"),
+                ServerFrame::Err {
+                    reason: format!("frame exceeds {MAX_LINE_BYTES} bytes")
+                },
+                "flooded with {fill:?}"
+            );
+            line.clear();
+            match reader.read_line(&mut line) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("expected the connection closed, got {other:?} {line:?}"),
+            }
+            drop((reader, stream));
+            writer.join().expect("writer ends");
+        }
+        net.shutdown();
+    }
+
+    #[test]
+    fn connection_cap_sheds_at_accept() {
+        let net = small_server(RuntimeConfig {
+            workers: 1,
+            max_connections: 2,
+            ..RuntimeConfig::default()
+        });
+        let mut a = NetClient::connect(net.addr()).expect("first");
+        let mut b = NetClient::connect(net.addr()).expect("second");
+        a.ping().expect("first served");
+        b.ping().expect("second served");
+        assert_eq!(net.open_connections(), 2);
+        let third = TcpStream::connect(net.addr()).expect("tcp connect");
+        let mut reader = BufReader::new(third);
+        let mut frames = Vec::new();
+        let mut line = String::new();
+        while reader.read_line(&mut line).expect("read") > 0 {
+            frames.push(ServerFrame::parse(&line).expect("parses"));
+            line.clear();
+        }
+        let retry_after_ms = RuntimeConfig::default().shed_retry_after.as_millis() as u64;
+        assert_eq!(
+            frames,
+            vec![ServerFrame::Shed { retry_after_ms }, ServerFrame::Bye],
+            "refused with a retry hint, then closed"
+        );
+        a.ping().expect("admitted connections unaffected");
+        assert_eq!(net.open_connections(), 2, "no handler for the refused one");
+        let m = net.shared.query.metrics();
+        assert_eq!(m.shed_connection_cap, 1);
+        assert_eq!(m.connections, 2, "refusals are not counted as connections");
+        net.shutdown();
+    }
+
+    #[test]
+    fn client_survives_a_hostile_answer_count() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            writeln!(stream, "HELLO mdq/1").expect("hello");
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut request)
+                .expect("request");
+            assert!(request.starts_with("SUBSCRIBE"), "{request}");
+            writeln!(stream, "SUBSCRIBED id=1 epoch=0 answers={}", u64::MAX).expect("reply");
+        });
+        let mut client = NetClient::connect(addr).expect("connect");
+        assert!(
+            client.subscribe(QUERY, Some(5)).is_err(),
+            "a count the stream cannot back is an error, not a panic"
+        );
+        server.join().expect("server thread");
     }
 }

@@ -110,6 +110,13 @@ pub struct RuntimeConfig {
     ///
     /// [`TenantPolicy::max_subscriptions`]: crate::tenant::TenantPolicy::max_subscriptions
     pub max_subscriptions: usize,
+    /// Serving-edge bound on open connections. A connection accepted
+    /// at the cap is answered `SHED retry-after-ms=<n>` + `BYE` and
+    /// closed without a handler thread; refusals count in
+    /// [`MetricsSnapshot::shed_connection_cap`].
+    ///
+    /// [`MetricsSnapshot::shed_connection_cap`]: crate::metrics::MetricsSnapshot::shed_connection_cap
+    pub max_connections: usize,
     /// Worker threads a refresh pass fans its lock-free phases across
     /// (due re-fetches, affected re-evaluations). `1` runs the pass
     /// inline; any setting produces byte-identical delta streams — the
@@ -136,6 +143,7 @@ impl Default for RuntimeConfig {
             max_queue_depth: 0,
             shed_retry_after: Duration::from_millis(50),
             max_subscriptions: 64,
+            max_connections: 256,
             refresh_workers: 1,
         }
     }
@@ -673,6 +681,23 @@ impl QueryServer {
             .metrics
             .connections
             .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one connection the serving edge refused at
+    /// [`RuntimeConfig::max_connections`] (the hook into
+    /// [`MetricsSnapshot::shed_connection_cap`]).
+    ///
+    /// [`MetricsSnapshot::shed_connection_cap`]: crate::metrics::MetricsSnapshot::shed_connection_cap
+    pub(crate) fn note_connection_shed(&self) {
+        self.state
+            .metrics
+            .shed_connection_cap
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The policies this server was started with.
+    pub(crate) fn config(&self) -> &RuntimeConfig {
+        &self.state.config
     }
 
     /// The engine this server executes against.
